@@ -71,11 +71,13 @@ func Build(patterns []string, compile func(string) (*rx.DFA, error), valid *rx.D
 		next := make([]region, 0, len(regions)*2)
 		for _, r := range regions {
 			in := r.dfa.Intersect(d)
-			out := r.dfa.Minus(d)
-			if !in.IsEmpty() {
-				next = append(next, region{dfa: in, sig: appendSig(r.sig, i, true)})
+			if in.IsEmpty() {
+				// The region lies wholly outside L(d): it is its own out part.
+				next = append(next, region{dfa: r.dfa, sig: appendSig(r.sig, i, false)})
+				continue
 			}
-			if !out.IsEmpty() {
+			next = append(next, region{dfa: in, sig: appendSig(r.sig, i, true)})
+			if out := r.dfa.Minus(d); !out.IsEmpty() {
 				next = append(next, region{dfa: out, sig: appendSig(r.sig, i, false)})
 			}
 		}

@@ -550,30 +550,51 @@ func (d *DFA) sameAlphabet(o *DFA) {
 }
 
 func (d *DFA) product(o *DFA, acc func(a, b bool) bool) *DFA {
+	return d.productRaw(o, acc).Minimize()
+}
+
+// productRaw builds the reachable part of the product automaton without
+// minimizing it. Pair (a, b) is indexed as a*|o|+b into a dense slot table
+// (the operands are small, so the table is cheaper than hashing pairs), and
+// the rows of the result share one backing array.
+func (d *DFA) productRaw(o *DFA, acc func(a, b bool) bool) *DFA {
 	d.sameAlphabet(o)
-	out := &DFA{alphabet: d.alphabet, symIndex: d.symIndex}
-	type pair struct{ a, b int32 }
-	idx := map[pair]int32{}
-	var pairs []pair
-	mk := func(p pair) int32 {
-		if id, ok := idx[p]; ok {
-			return id
+	nsym := len(d.alphabet)
+	nb := len(o.trans)
+	// slot[a*nb+b] is 1 + the product state of pair (a, b), or 0 if unseen.
+	slot := make([]int32, len(d.trans)*nb)
+	guess := len(d.trans) + nb     // capacity hint for the reachable pair count
+	pairs := make([]int, 0, guess) // discovered pairs a*nb+b, in state order
+	accept := make([]bool, 0, guess)
+	mk := func(a, b int32) int32 {
+		k := int(a)*nb + int(b)
+		if id := slot[k]; id != 0 {
+			return id - 1
 		}
 		id := int32(len(pairs))
-		idx[p] = id
-		pairs = append(pairs, p)
-		out.trans = append(out.trans, make([]int32, len(d.alphabet)))
-		out.accept = append(out.accept, acc(d.accept[p.a], o.accept[p.b]))
+		slot[k] = id + 1
+		pairs = append(pairs, k)
+		accept = append(accept, acc(d.accept[a], o.accept[b]))
 		return id
 	}
-	out.start = mk(pair{d.start, o.start})
-	for w := int32(0); int(w) < len(pairs); w++ {
-		p := pairs[w]
-		for ai := range d.alphabet {
-			out.trans[w][ai] = mk(pair{d.trans[p.a][ai], o.trans[p.b][ai]})
+	start := mk(d.start, o.start)
+	flat := make([]int32, 0, guess*nsym)
+	for w := 0; w < len(pairs); w++ {
+		ra, rb := d.trans[pairs[w]/nb], o.trans[pairs[w]%nb]
+		for ai := 0; ai < nsym; ai++ {
+			flat = append(flat, mk(ra[ai], rb[ai]))
 		}
 	}
-	return out.Minimize()
+	return &DFA{alphabet: d.alphabet, symIndex: d.symIndex, trans: rows(flat, nsym), accept: accept, start: start}
+}
+
+// rows slices a flat transition table into per-state rows of width nsym.
+func rows(flat []int32, nsym int) [][]int32 {
+	out := make([][]int32, len(flat)/nsym)
+	for i := range out {
+		out[i] = flat[i*nsym : (i+1)*nsym : (i+1)*nsym]
+	}
+	return out
 }
 
 // Intersect returns an automaton for L(d) ∩ L(o).
@@ -609,18 +630,20 @@ func (d *DFA) Equal(o *DFA) bool {
 func (d *DFA) Subset(o *DFA) bool { return d.Minus(o).IsEmpty() }
 
 // Minimize returns the Moore-minimized automaton (reachable states only).
+// Blocks are numbered in order of their lowest reachable state, so equal
+// inputs always minimize to identical automata.
 func (d *DFA) Minimize() *DFA {
 	nsym := len(d.alphabet)
 	ns := len(d.trans)
 	// Reachability.
 	reach := make([]bool, ns)
-	queue := []int32{d.start}
+	queue := make([]int32, 1, ns)
+	queue[0] = d.start
 	reach[d.start] = true
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
-		for ai := 0; ai < nsym; ai++ {
-			t := d.trans[s][ai]
+		for _, t := range d.trans[s] {
 			if !reach[t] {
 				reach[t] = true
 				queue = append(queue, t)
@@ -635,64 +658,90 @@ func (d *DFA) Minimize() *DFA {
 		}
 	}
 	numBlocks := int32(2)
-	// Each refinement round distinguishes states by (current block,
-	// successor blocks). The signature is raw little-endian bytes — this
-	// loop runs states × alphabet times per round, and building the key
-	// through fmt made minimization the hottest path in the serving daemon.
-	buf := make([]byte, 0, (nsym+1)*4)
+	// Each refinement round distinguishes states by their signature
+	// (current block, successor blocks). Signatures are hashed into an
+	// open-addressing table whose slots hold 1 + a block id; a hash match
+	// is confirmed against the block's first state, and a collision probes
+	// on to the next slot.
+	size := 1
+	for size < 2*ns {
+		size <<= 1
+	}
+	table := make([]int32, size)
+	next := make([]int32, ns)
+	var rep []int32   // rep[b] is the first state placed in block b
+	var hash []uint64 // hash[b] is block b's signature hash
+	sameSig := func(s, t int32) bool {
+		if part[s] != part[t] {
+			return false
+		}
+		rs, rt := d.trans[s], d.trans[t]
+		for ai := range rs {
+			if part[rs[ai]] != part[rt[ai]] {
+				return false
+			}
+		}
+		return true
+	}
 	for {
-		next := make([]int32, ns)
-		index := map[string]int32{}
-		var blocks int32
-		for s := 0; s < ns; s++ {
+		clear(table)
+		rep, hash = rep[:0], hash[:0]
+		for s := int32(0); int(s) < ns; s++ {
 			if !reach[s] {
 				continue
 			}
-			buf = buf[:0]
-			p := part[s]
-			buf = append(buf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
-			for ai := 0; ai < nsym; ai++ {
-				p = part[d.trans[s][ai]]
-				buf = append(buf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
+			h := fnvOffset ^ uint64(part[s])
+			for _, t := range d.trans[s] {
+				h = (h ^ uint64(part[t])) * fnvPrime
 			}
-			id, ok := index[string(buf)]
-			if !ok {
-				id = blocks
-				blocks++
-				index[string(buf)] = id
+			i := int(mix(h)) & (size - 1)
+			for {
+				b := table[i] - 1
+				if b < 0 {
+					b = int32(len(rep))
+					table[i] = b + 1
+					rep = append(rep, s)
+					hash = append(hash, h)
+				} else if hash[b] != h || !sameSig(rep[b], s) {
+					i = (i + 1) & (size - 1)
+					continue
+				}
+				next[s] = b
+				break
 			}
-			next[s] = id
 		}
+		blocks := int32(len(rep))
+		part, next = next, part
 		if blocks == numBlocks {
-			part = next
 			break
 		}
-		part, numBlocks = next, blocks
+		numBlocks = blocks
 	}
-	out := &DFA{alphabet: d.alphabet, symIndex: d.symIndex}
-	out.trans = make([][]int32, numBlocks)
-	out.accept = make([]bool, numBlocks)
-	filled := make([]bool, numBlocks)
-	for s := 0; s < ns; s++ {
-		if !reach[s] {
-			continue
+	flat := make([]int32, int(numBlocks)*nsym)
+	accept := make([]bool, numBlocks)
+	for b, s := range rep {
+		row := flat[b*nsym : (b+1)*nsym]
+		for ai, t := range d.trans[s] {
+			row[ai] = part[t]
 		}
-		b := part[s]
-		if filled[b] {
-			continue
-		}
-		filled[b] = true
-		row := make([]int32, nsym)
-		for ai := 0; ai < nsym; ai++ {
-			row[ai] = part[d.trans[s][ai]]
-		}
-		out.trans[b] = row
-		out.accept[b] = d.accept[s]
+		accept[b] = d.accept[s]
 	}
-	// Some block ids may be unused if numBlocks over-counts; compact is not
-	// needed because ids are assigned densely over reachable states.
-	out.start = part[d.start]
-	return out
+	return &DFA{alphabet: d.alphabet, symIndex: d.symIndex, trans: rows(flat, nsym), accept: accept, start: part[d.start]}
+}
+
+// Minimize hashes a signature FNV-1a style, one block id per step, and
+// spreads the result with mix before taking table bits.
+const (
+	fnvOffset = 0xcbf29ce484222325
+	fnvPrime  = 0x100000001b3
+)
+
+// mix is the splitmix64 finalizer.
+func mix(h uint64) uint64 {
+	h += 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // Universal returns the automaton accepting Σ* over alpha.

@@ -346,6 +346,14 @@ func TestPrometheusExposition(t *testing.T) {
 			t.Errorf("%s = %g, want %g", name, got, want)
 		}
 	}
+	for _, name := range []string{"clarifyd_space_cache_memo_hits_total", "clarifyd_space_cache_memo_misses_total"} {
+		if f := fams[name]; f == nil || f.typ != "counter" {
+			t.Errorf("missing counter family %s", name)
+		}
+	}
+	if f := fams["clarifyd_space_cache_memo_misses_total"]; f != nil && f.samples["clarifyd_space_cache_memo_misses_total"] == 0 {
+		t.Error("an update compiled no pattern into the space cache's memo")
+	}
 	for _, name := range []string{"clarifyd_workers", "clarifyd_queue_capacity", "clarifyd_sessions"} {
 		f := fams[name]
 		if f == nil || f.typ != "gauge" {

@@ -1,11 +1,13 @@
 package symbolic
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/clarifynet/clarify/internal/testgen"
 	"github.com/clarifynet/clarify/ios"
+	"github.com/clarifynet/clarify/workload"
 )
 
 func benchConfig() *ios.Config {
@@ -104,5 +106,31 @@ func BenchmarkACLFirstMatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewACLSpace()
 		_ = s.FirstMatch(acl)
+	}
+}
+
+// BenchmarkSpaceCacheGrowingSession measures the space build on the
+// open-vocabulary update path: one cache serves a sequence of 16-update
+// sessions over a community-heavy base, and every update adds one new
+// community-list, so each Acquire misses while all but one of its patterns
+// were already compiled for an earlier space.
+func BenchmarkSpaceCacheGrowingSession(b *testing.B) {
+	base := workload.Cloud(1, 0, 20).RouteMapConfigs[0]
+	cache := NewSpaceCache()
+	var cfg *ios.Config
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%16 == 0 {
+			cfg = base.Clone()
+		}
+		cfg.AddCommunityList(fmt.Sprintf("GROW%d", i), false, ios.CommunityListEntry{
+			Permit: true, Values: []string{fmt.Sprintf("%d:%d", 100+i%900, i/900%100)},
+		})
+		s, err := cache.Acquire(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cache.Release(s)
 	}
 }

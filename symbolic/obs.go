@@ -21,9 +21,12 @@ func ObservePool(sp *obs.Span, p *bdd.Pool, before bdd.Counters) {
 
 // ObserveInto annotates sp with the workload performed on this space since
 // the before snapshot: the BDD counter deltas plus the universe's atomic
-// partition sizes. Call it before releasing the space back to a SpaceCache —
-// once released, another goroutine may acquire the space and advance its
-// counters. Safe on a nil span.
+// partition sizes. A space from a SpaceCache also records whether its
+// Acquire was a hit (space-hit) and, on a miss, how many patterns the build
+// compiled and how many it took from the cache's memo. Call it before
+// releasing the space back to a SpaceCache — once released, another
+// goroutine may acquire the space and advance its counters. Safe on a nil
+// span.
 func (s *RouteSpace) ObserveInto(sp *obs.Span, before bdd.Counters) {
 	if sp == nil {
 		return
@@ -31,8 +34,13 @@ func (s *RouteSpace) ObserveInto(sp *obs.Span, before bdd.Counters) {
 	ObservePool(sp, s.Pool, before)
 	sp.SetInt("path-atoms", int64(s.PathAtomCount()))
 	sp.SetInt("comm-atoms", int64(s.CommAtomCount()))
-	if s.fp != "" {
-		sp.SetBool("space-cached", true)
+	if s.fp == "" {
+		return
+	}
+	sp.SetBool("space-hit", s.hit)
+	if !s.hit {
+		sp.SetInt("patterns-compiled", int64(s.compiled))
+		sp.SetInt("patterns-reused", int64(s.reused))
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"github.com/clarifynet/clarify/ciscorx"
 	"github.com/clarifynet/clarify/ios"
 	"github.com/clarifynet/clarify/route"
+	"github.com/clarifynet/clarify/rx"
 )
 
 // Route attribute field widths (bits).
@@ -56,6 +57,11 @@ type RouteSpace struct {
 	// fp is the content fingerprint of the inputs that determined this
 	// universe; set by SpaceCache.Acquire so Release can file the space back.
 	fp string
+	// hit records whether the latest SpaceCache.Acquire found this space
+	// idle; on a miss, compiled and reused count the patterns it compiled
+	// and the ones it took from the cache's automaton memo.
+	hit              bool
+	compiled, reused int
 }
 
 // spacePatterns collects, in deterministic order, exactly the inputs that
@@ -115,11 +121,18 @@ func sortedKeys[V any](m map[string]V) []string {
 // community regex and community literal appearing in the given configs.
 func NewRouteSpace(cfgs ...*ios.Config) (*RouteSpace, error) {
 	pathPatterns, commPatterns := spacePatterns(cfgs)
-	pathU, err := atoms.Build(pathPatterns, ciscorx.CompilePath, ciscorx.ValidPath())
+	return buildRouteSpace(pathPatterns, commPatterns, ciscorx.CompilePath, ciscorx.CompileCommunity)
+}
+
+// buildRouteSpace builds the universe for the given pattern sequences,
+// compiling as-path patterns with compilePath and community patterns with
+// compileComm. Both must return the ciscorx automaton for the pattern.
+func buildRouteSpace(pathPatterns, commPatterns []string, compilePath, compileComm func(string) (*rx.DFA, error)) (*RouteSpace, error) {
+	pathU, err := atoms.Build(pathPatterns, compilePath, ciscorx.ValidPath())
 	if err != nil {
 		return nil, err
 	}
-	commU, err := atoms.Build(commPatterns, ciscorx.CompileCommunity, ciscorx.ValidCommunity())
+	commU, err := atoms.Build(commPatterns, compileComm, ciscorx.ValidCommunity())
 	if err != nil {
 		return nil, err
 	}

@@ -70,13 +70,12 @@ func Build(patterns []string, compile func(string) (*rx.DFA, error), valid *rx.D
 	for i, d := range dfas {
 		next := make([]region, 0, len(regions)*2)
 		for _, r := range regions {
-			in := r.dfa.Intersect(d)
-			if in.IsEmpty() {
+			if !r.dfa.Meets(d) {
 				// The region lies wholly outside L(d): it is its own out part.
 				next = append(next, region{dfa: r.dfa, sig: appendSig(r.sig, i, false)})
 				continue
 			}
-			next = append(next, region{dfa: in, sig: appendSig(r.sig, i, true)})
+			next = append(next, region{dfa: r.dfa.Intersect(d), sig: appendSig(r.sig, i, true)})
 			if out := r.dfa.Minus(d); !out.IsEmpty() {
 				next = append(next, region{dfa: out, sig: appendSig(r.sig, i, false)})
 			}

@@ -1,7 +1,11 @@
 package ciscorx
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 func pathMatch(t *testing.T, pattern string, asns ...uint32) bool {
@@ -128,6 +132,58 @@ func TestBadPattern(t *testing.T) {
 	}
 	if _, err := CompileCommunity("[z"); err == nil {
 		t.Error("bad class should fail")
+	}
+}
+
+// TestSubsetBlowupFails: searched as .*(…).*, "1" followed by 24 dots needs
+// about 2^26 subsets; compiling it must fail quickly instead of hanging.
+func TestSubsetBlowupFails(t *testing.T) {
+	start := time.Now()
+	_, err := CompilePath("1" + strings.Repeat(".", 24))
+	if err == nil {
+		t.Fatal("pattern past the subset cap compiled")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("rejecting the pattern took %v", d)
+	}
+	// Twelve dots stay under the cap.
+	if _, err := CompilePath("1" + strings.Repeat(".", 12)); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLongPatternFails: a 100,000-character literal as-path regex (an
+// as-path line may be a MiB long) must be rejected quickly and without
+// building a parse tree, an NFA or a closure table for it; a long pattern
+// whose NFA is too large for the subset construction fails too.
+func TestLongPatternFails(t *testing.T) {
+	pattern := strings.Repeat("1", 100_000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := CompilePath(pattern)
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("100,000-character pattern compiled")
+	}
+	if took > time.Second {
+		t.Errorf("rejecting the pattern took %v", took)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Errorf("rejecting the pattern allocated %d KiB", alloc>>10)
+	}
+	// 4,000 bytes pass the length check but need about 8,000 NFA states.
+	if _, err := CompilePath(strings.Repeat("1", 4000)); err == nil {
+		t.Error("4,000-character pattern compiled")
+	}
+	// A long alternation of real ASNs stays under the cap.
+	asns := make([]string, 100)
+	for i := range asns {
+		asns[i] = fmt.Sprint(64512 + i)
+	}
+	if _, err := CompilePath("_(" + strings.Join(asns, "|") + ")_"); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -1,12 +1,16 @@
 package rx
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 )
 
-// FuzzCompile checks that the regex compiler never panics and that every
-// accepted pattern yields an automaton whose complement round-trips
+// FuzzCompile checks that the regex compiler never panics, that determinize
+// builds exactly the reference subset construction's automaton, and that
+// every accepted pattern yields an automaton whose complement round-trips
 // (¬¬L = L) and whose shortest witness, if any, is a member.
 func FuzzCompile(f *testing.F) {
 	alpha := Alphabet("0123 :^$")
@@ -19,6 +23,9 @@ func FuzzCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pattern string) {
 		if len(pattern) > 40 {
 			return // keep automata small
+		}
+		if err := sameAsRefDeterminize(pattern, alpha); err != nil {
+			t.Fatal(err)
 		}
 		d, err := Compile(pattern, alpha)
 		if err != nil {
@@ -35,7 +42,8 @@ func FuzzCompile(f *testing.F) {
 
 // FuzzProduct checks the product constructions and Minimize differentially.
 // For two fuzzed patterns, Intersect, Union and Minus must agree with the
-// boolean combination of Matches on every string up to productMaxLen, every
+// boolean combination of Matches on every string up to productMaxLen, Meets
+// must agree with the emptiness of Intersect, every
 // string EnumerateStrings yields from a result must be a member, and
 // Minimize must produce as many states as a reference Moore partition of
 // the unminimized product.
@@ -59,6 +67,9 @@ func FuzzProduct(f *testing.F) {
 		b, err := Compile(pb, alpha)
 		if err != nil {
 			return
+		}
+		if got, want := a.Meets(b), !a.Intersect(b).IsEmpty(); got != want {
+			t.Fatalf("Meets(%q, %q) = %v, want %v", pa, pb, got, want)
 		}
 		for _, op := range []struct {
 			name string
@@ -155,4 +166,105 @@ func refMooreStates(d *DFA) int {
 		}
 		count = len(ids)
 	}
+}
+
+// sameAsRefDeterminize compiles pattern's NFA with determinize and with
+// refDeterminize and reports any difference in start state, transitions or
+// accepting states. Unparseable patterns and automata of more than
+// refMaxStates states pass.
+func sameAsRefDeterminize(pattern string, alpha Alphabet) error {
+	p := &parser{pat: pattern}
+	e, err := p.parseAlt()
+	if err != nil || p.pos != len(p.pat) {
+		return nil
+	}
+	n, alpha := buildNFA(e), alpha.clone()
+	got, err := determinize(n, alpha)
+	if errors.Is(err, errTooManyStates) || errors.Is(err, errPatternTooLong) {
+		return nil // Compile rejects it; the reference would take too long
+	}
+	if err != nil {
+		return err
+	}
+	if got.NumStates() > refMaxStates {
+		return nil
+	}
+	want := refDeterminize(n, alpha)
+	switch {
+	case got.start != want.start:
+		return fmt.Errorf("determinize(%q): start %d, reference %d", pattern, got.start, want.start)
+	case !reflect.DeepEqual(got.trans, want.trans):
+		return fmt.Errorf("determinize(%q): transitions %v, reference %v", pattern, got.trans, want.trans)
+	case !reflect.DeepEqual(got.accept, want.accept):
+		return fmt.Errorf("determinize(%q): accepting %v, reference %v", pattern, got.accept, want.accept)
+	}
+	return nil
+}
+
+// refMaxStates bounds the automata compared with refDeterminize, which
+// builds maps for every subset: a short pattern such as 1 followed by 12
+// dots has 16,385 subsets and would stall a fuzz run.
+const refMaxStates = 4096
+
+// refDeterminize is the map-based subset construction determinize replaced,
+// kept as its reference: subsets are map[int]bool, keyed by their sorted
+// state ids, and numbered in work-list then alphabet order.
+func refDeterminize(n *nfa, alpha Alphabet) *DFA {
+	d := &DFA{alphabet: alpha}
+	closure := func(set map[int]bool) {
+		var stack []int
+		for s := range set {
+			stack = append(stack, s)
+		}
+		for len(stack) > 0 {
+			s := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, t := range n.states[s].eps {
+				if !set[t] {
+					set[t] = true
+					stack = append(stack, t)
+				}
+			}
+		}
+	}
+	key := func(set map[int]bool) string {
+		ids := make([]int, 0, len(set))
+		for s := range set {
+			ids = append(ids, s)
+		}
+		sort.Ints(ids)
+		return fmt.Sprint(ids)
+	}
+	startSet := map[int]bool{n.start: true}
+	closure(startSet)
+	stateIdx := map[string]int32{}
+	var sets []map[int]bool
+	mk := func(set map[int]bool) int32 {
+		k := key(set)
+		if id, ok := stateIdx[k]; ok {
+			return id
+		}
+		id := int32(len(sets))
+		stateIdx[k] = id
+		sets = append(sets, set)
+		d.trans = append(d.trans, make([]int32, len(alpha)))
+		d.accept = append(d.accept, set[n.accept])
+		return id
+	}
+	d.start = mk(startSet)
+	for work := int32(0); int(work) < len(sets); work++ {
+		cur := sets[work]
+		for ai, b := range alpha {
+			next := map[int]bool{}
+			for s := range cur {
+				st := &n.states[s]
+				if st.next >= 0 && st.sym[b/64]>>(b%64)&1 == 1 {
+					next[st.next] = true
+				}
+			}
+			closure(next)
+			d.trans[work][ai] = mk(next)
+		}
+	}
+	return d
 }

@@ -18,7 +18,9 @@
 package rx
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -377,6 +379,9 @@ func (d *DFA) AlphabetSymbols() Alphabet { return append(Alphabet(nil), d.alphab
 // in the pattern outside the alphabet produce transitions that can never fire
 // and therefore an automaton that rejects the corresponding strings.
 func Compile(pattern string, alpha Alphabet) (*DFA, error) {
+	if len(pattern) > maxPatternLen {
+		return nil, fmt.Errorf("rx: pattern of %d bytes is longer than %d", len(pattern), maxPatternLen)
+	}
 	p := &parser{pat: pattern}
 	e, err := p.parseAlt()
 	if err != nil {
@@ -385,7 +390,10 @@ func Compile(pattern string, alpha Alphabet) (*DFA, error) {
 	if p.pos != len(p.pat) {
 		return nil, p.fail("unexpected trailing input")
 	}
-	d := determinize(buildNFA(e), alpha.clone())
+	d, err := determinize(buildNFA(e), alpha.clone())
+	if err != nil {
+		return nil, fmt.Errorf("rx: %w", err)
+	}
 	return d.Minimize(), nil
 }
 
@@ -398,7 +406,34 @@ func MustCompile(pattern string, alpha Alphabet) *DFA {
 	return d
 }
 
-func determinize(n *nfa, alpha Alphabet) *DFA {
+// maxPatternLen, maxNFAStates and maxSubsets bound the work of compiling
+// one pattern. Compile rejects a longer pattern before parsing it: an
+// as-path line may be a MiB long, and parsing costs memory linear in it.
+// The subset construction needs memory quadratic in the NFA's states for
+// the ε-closure table and proportional to subsets × NFA states for the
+// subsets. The search wrapper .*(…).* around a pattern such as 1 followed
+// by k dots discovers about 2^(k+2) subsets, so without a cap one as-path
+// line could hold a worker for minutes. The patterns of the cloud and
+// campus corpora and of the test suite are at most 69 bytes long and need
+// at most 46 NFA states; they and the generated intents need at most 25
+// subsets. An alternation of 100 ASNs fits. A construction that reaches
+// both state caps takes about 0.15 s and allocates about 60 MiB.
+const (
+	maxPatternLen = 1 << 13
+	maxNFAStates  = 1 << 11
+	maxSubsets    = 1 << 15
+)
+
+// determinize is the subset construction. Each NFA state's ε-closure is
+// computed once, as a bitset; a subset is ⌈n/64⌉ words in one backing slice,
+// looked up by its word bytes; transitions go into one flat table. Subsets
+// are numbered in discovery order (work-list order, then alphabet order).
+// It gives up with an error on an NFA of more than maxNFAStates states or
+// past maxSubsets subsets.
+func determinize(n *nfa, alpha Alphabet) (*DFA, error) {
+	if len(n.states) > maxNFAStates {
+		return nil, errPatternTooLong
+	}
 	d := &DFA{alphabet: alpha}
 	for i := range d.symIndex {
 		d.symIndex[i] = -1
@@ -406,72 +441,86 @@ func determinize(n *nfa, alpha Alphabet) *DFA {
 	for i, b := range alpha {
 		d.symIndex[b] = int16(i)
 	}
+	nsym := len(alpha)
+	w := (len(n.states) + 63) / 64
 
-	closure := func(set map[int]bool) {
-		var stack []int
-		for s := range set {
-			stack = append(stack, s)
-		}
-		for len(stack) > 0 {
-			s := stack[len(stack)-1]
+	// closure[s*w:(s+1)*w] is the ε-closure of state s.
+	closure := make([]uint64, len(n.states)*w)
+	var stack []int
+	for s := range n.states {
+		c := closure[s*w : (s+1)*w]
+		c[s/64] |= 1 << (s % 64)
+		for stack = append(stack[:0], s); len(stack) > 0; {
+			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, t := range n.states[s].eps {
-				if !set[t] {
-					set[t] = true
+			for _, t := range n.states[u].eps {
+				if c[t/64]>>(t%64)&1 == 0 {
+					c[t/64] |= 1 << (t % 64)
 					stack = append(stack, t)
 				}
 			}
 		}
 	}
-	// key encodes a sorted state set as raw little-endian bytes: this runs
-	// once per discovered subset and formatting integers through fmt here
-	// (and in Minimize) used to dominate the daemon's whole CPU profile.
-	key := func(set map[int]bool) string {
-		ids := make([]int, 0, len(set))
-		for s := range set {
-			ids = append(ids, s)
-		}
-		sort.Ints(ids)
-		buf := make([]byte, 0, len(ids)*4)
-		for _, id := range ids {
-			buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		return string(buf)
-	}
 
-	startSet := map[int]bool{n.start: true}
-	closure(startSet)
-	stateIdx := map[string]int32{}
-	var sets []map[int]bool
-	mk := func(set map[int]bool) int32 {
-		k := key(set)
-		if id, ok := stateIdx[k]; ok {
-			return id
+	var sets []uint64 // subset i is sets[i*w:(i+1)*w]
+	var accept []bool
+	index := map[string]int32{}
+	key := make([]byte, 8*w)
+	mk := func(set []uint64) (int32, bool) {
+		for i, x := range set {
+			binary.LittleEndian.PutUint64(key[8*i:], x)
 		}
-		id := int32(len(sets))
-		stateIdx[k] = id
-		sets = append(sets, set)
-		d.trans = append(d.trans, make([]int32, len(alpha)))
-		d.accept = append(d.accept, set[n.accept])
-		return id
+		if id, ok := index[string(key)]; ok {
+			return id, true
+		}
+		id := int32(len(accept))
+		if id == maxSubsets {
+			return 0, false
+		}
+		index[string(key)] = id
+		sets = append(sets, set...)
+		accept = append(accept, set[n.accept/64]>>(n.accept%64)&1 == 1)
+		return id, true
 	}
-	d.start = mk(startSet)
-	for work := int32(0); int(work) < len(sets); work++ {
-		cur := sets[work]
-		for ai, b := range alpha {
-			next := map[int]bool{}
-			for s := range cur {
-				st := &n.states[s]
-				if st.next >= 0 && st.sym[b/64]>>(b%64)&1 == 1 {
-					next[st.next] = true
+	d.start, _ = mk(closure[n.start*w : (n.start+1)*w])
+	// next[ai*w:(ai+1)*w] collects the successor subset on symbol alpha[ai].
+	next := make([]uint64, nsym*w)
+	var flat []int32
+	for work := 0; work < len(accept); work++ {
+		clear(next)
+		for wi, word := range sets[work*w : (work+1)*w] {
+			for ; word != 0; word &= word - 1 {
+				st := &n.states[wi*64+bits.TrailingZeros64(word)]
+				if st.next < 0 {
+					continue
+				}
+				c := closure[st.next*w : (st.next+1)*w]
+				for ai, b := range alpha {
+					if st.sym[b/64]>>(b%64)&1 == 1 {
+						row := next[ai*w : (ai+1)*w]
+						for i := range row {
+							row[i] |= c[i]
+						}
+					}
 				}
 			}
-			closure(next)
-			d.trans[work][ai] = mk(next)
+		}
+		for ai := 0; ai < nsym; ai++ {
+			id, ok := mk(next[ai*w : (ai+1)*w])
+			if !ok {
+				return nil, errTooManyStates
+			}
+			flat = append(flat, id)
 		}
 	}
-	return d
+	d.trans, d.accept = rows(flat, nsym), accept
+	return d, nil
 }
+
+var (
+	errPatternTooLong = fmt.Errorf("pattern needs more than %d NFA states", maxNFAStates)
+	errTooManyStates  = fmt.Errorf("automaton would exceed %d states", maxSubsets)
+)
 
 // Matches reports whether the automaton accepts s in full. Any byte of s
 // outside the alphabet causes a rejection.
@@ -628,6 +677,34 @@ func (d *DFA) Equal(o *DFA) bool {
 
 // Subset reports whether L(d) ⊆ L(o).
 func (d *DFA) Subset(o *DFA) bool { return d.Minus(o).IsEmpty() }
+
+// Meets reports whether L(d) ∩ L(o) is non-empty. It searches the state
+// pairs reachable in the product, stops at the first pair both accept and
+// builds no automaton; visited pairs are bits at a*|o|+b, as in productRaw.
+func (d *DFA) Meets(o *DFA) bool {
+	d.sameAlphabet(o)
+	nb := len(o.trans)
+	seen := make([]uint64, (len(d.trans)*nb+63)/64)
+	k := int(d.start)*nb + int(o.start)
+	seen[k/64] |= 1 << (k % 64)
+	for stack := []int{k}; len(stack) > 0; {
+		k := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		a, b := k/nb, k%nb
+		if d.accept[a] && o.accept[b] {
+			return true
+		}
+		rb := o.trans[b]
+		for ai, ta := range d.trans[a] {
+			k := int(ta)*nb + int(rb[ai])
+			if seen[k/64]>>(k%64)&1 == 0 {
+				seen[k/64] |= 1 << (k % 64)
+				stack = append(stack, k)
+			}
+		}
+	}
+	return false
+}
 
 // Minimize returns the Moore-minimized automaton (reachable states only).
 // Blocks are numbered in order of their lowest reachable state, so equal

@@ -235,15 +235,34 @@ func randomString(rng *rand.Rand) string {
 	return sb.String()
 }
 
+// sameAsRef reports whether determinize builds exactly refDeterminize's
+// automaton for every pattern, logging the first difference.
+func sameAsRef(t *testing.T, alpha Alphabet, patterns ...string) bool {
+	for _, p := range patterns {
+		if err := sameAsRefDeterminize(p, alpha); err != nil {
+			t.Log(err)
+			return false
+		}
+	}
+	return true
+}
+
 // TestQuickProductSemantics: membership in product automata must equal the
-// boolean combination of memberships.
+// boolean combination of memberships, and Meets must agree with the
+// emptiness of Intersect.
 func TestQuickProductSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	alpha := Alphabet("0123")
 	check := func() bool {
-		a := MustCompile(randomPattern(rng, 3), alpha)
-		b := MustCompile(randomPattern(rng, 3), alpha)
+		pa, pb := randomPattern(rng, 3), randomPattern(rng, 3)
+		if !sameAsRef(t, alpha, pa, pb) {
+			return false
+		}
+		a, b := MustCompile(pa, alpha), MustCompile(pb, alpha)
 		inter, uni, minus := a.Intersect(b), a.Union(b), a.Minus(b)
+		if a.Meets(b) == inter.IsEmpty() {
+			return false
+		}
 		comp := a.Complement()
 		for i := 0; i < 20; i++ {
 			s := randomString(rng)
@@ -268,7 +287,11 @@ func TestQuickShortestIsMember(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	alpha := Alphabet("01")
 	check := func() bool {
-		d := MustCompile(randomPattern(rng, 3), alpha)
+		pat := randomPattern(rng, 3)
+		if !sameAsRef(t, alpha, pat) {
+			return false
+		}
+		d := MustCompile(pat, alpha)
 		s, ok := d.ShortestString()
 		if !ok {
 			return d.IsEmpty()
@@ -304,6 +327,9 @@ func TestQuickMinimizeEquivalence(t *testing.T) {
 	alpha := Alphabet("0123")
 	check := func() bool {
 		pat := randomPattern(rng, 4)
+		if !sameAsRef(t, alpha, pat) {
+			return false
+		}
 		a := MustCompile(pat, alpha)
 		// Compile again: canonical minimal DFA should have identical size.
 		b := MustCompile(pat, alpha)
